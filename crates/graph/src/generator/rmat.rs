@@ -207,6 +207,27 @@ mod tests {
         }
     }
 
+    /// Pins the exact graphs the generator emits: the dedup set decides
+    /// which draws become edges, so any change to it (or to the RNG
+    /// draw sequence) must leave these hashes alone. Covers sparse
+    /// requests, a complete graph that only the uniform fallback can
+    /// finish, and Reddit at the figures' default scale (1/64 of its
+    /// vertices and edges).
+    #[test]
+    fn outputs_are_pinned_by_content_hash() {
+        let pinned: [(usize, usize, u64, u64); 4] = [
+            (100, 300, 2, 0x9cdd_ff09_ef93_3662),
+            (1000, 8000, 0x5EED, 0x815c_e87c_2fcb_2e26),
+            (16, 120, 6, 0xdf4d_1720_9c84_dbd4),
+            (3640, 895_436, 0x5EED, 0x1351_7c3f_58a9_adc8),
+        ];
+        for (n, m, seed, want) in pinned {
+            let g = rmat(n, m, RmatParams::default(), seed).unwrap();
+            assert_eq!(g.num_edges(), 2 * m);
+            assert_eq!(g.content_hash(), want, "rmat({n}, {m}, seed {seed:#x})");
+        }
+    }
+
     #[test]
     fn dense_request_completes_via_fallback() {
         // Nearly complete graph: the R-MAT core alone would spin, the
