@@ -19,10 +19,14 @@
 //! * **Code changes invalidate precisely.** A config-affecting change
 //!   alters `HyGcnConfig::canon`, so exactly the stale points re-run.
 //!
+//! * **Graphs build once per run.** Every campaign of a run, and every
+//!   render, takes its graphs from the [`FigureCtx`]'s [`GraphMemo`], so
+//!   `hygcn figures all` synthesizes each `(workload, fidelity)` graph
+//!   exactly once — not once per campaign that touches it.
+//!
 //! CPU/GPU baseline numbers (the analytic PyG platform models) are not
 //! simulations; renders recompute them on demand through the memoized
-//! [`FigureCtx`], which builds each dataset graph at most once per
-//! process.
+//! [`FigureCtx`], over the same memoized graphs.
 //!
 //! Porting note: the original `fig15_sparsity` binary drove the
 //! Aggregation Engine in isolation; the campaign port measures the
@@ -38,9 +42,9 @@ use hygcn_baseline::prefetch::phase_prefetch_coverage;
 use hygcn_baseline::{CpuModel, GpuModel, PlatformReport};
 use hygcn_core::energy::AreaPowerModel;
 use hygcn_core::HyGcnConfig;
-use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint};
+use hygcn_dse::campaign::{Campaign, CampaignReport, CompletedPoint, PointOutcome};
 use hygcn_dse::space::{Axis, ConfigSpace, WorkloadSpec};
-use hygcn_dse::DseError;
+use hygcn_dse::{DseError, GraphMemo};
 use hygcn_gcn::model::{GcnModel, ModelKind};
 use hygcn_gcn::workload::LayerWorkload;
 use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
@@ -82,11 +86,12 @@ pub struct FigureSpec {
     pub render: fn(&[CampaignReport], &mut FigureCtx) -> String,
 }
 
-/// Memoized per-process context for the baseline (non-simulated) halves
-/// of the artifacts: dataset graphs, models, and PyG platform runs.
+/// Memoized per-process context of a figures run: the workload graphs
+/// every campaign and render shares, and the baseline (non-simulated)
+/// halves of the artifacts — models and PyG platform runs.
 pub struct FigureCtx {
     mult: f64,
-    graphs: Vec<(DatasetKey, Graph)>,
+    graphs: GraphMemo,
     baselines: Vec<((ModelKind, DatasetKey), Baselines)>,
 }
 
@@ -108,7 +113,7 @@ impl FigureCtx {
     pub fn new(mult: f64) -> Self {
         Self {
             mult,
-            graphs: Vec::new(),
+            graphs: GraphMemo::new(),
             baselines: Vec::new(),
         }
     }
@@ -118,16 +123,9 @@ impl FigureCtx {
         self.mult
     }
 
-    fn graph_idx(&mut self, key: DatasetKey) -> usize {
-        if let Some(i) = self.graphs.iter().position(|(k, _)| *k == key) {
-            return i;
-        }
-        let graph = ds(key, self.mult)
-            .build()
-            // lint: allow(unwrap) -- ds() clamps scale into the range instantiate accepts
-            .expect("dataset instantiation cannot fail at clamped scales");
-        self.graphs.push((key, graph));
-        self.graphs.len() - 1
+    /// The graphs this run's campaigns and renders share.
+    pub fn graphs(&self) -> &GraphMemo {
+        &self.graphs
     }
 
     /// Runs `f` over the memoized graph and a freshly derived model —
@@ -139,12 +137,15 @@ impl FigureCtx {
         kind: ModelKind,
         f: impl FnOnce(&Graph, &GcnModel) -> T,
     ) -> T {
-        let i = self.graph_idx(key);
-        let graph = &self.graphs[i].1;
+        let graph = self
+            .graphs
+            .get(&ds(key, self.mult), 1.0)
+            // lint: allow(unwrap) -- ds() clamps scale into the range instantiate accepts
+            .expect("dataset instantiation cannot fail at clamped scales");
         let model =
             // lint: allow(unwrap) -- Graph guarantees feature_len >= 1, the only failure mode
             GcnModel::new(kind, graph.feature_len(), 0xC0DE).expect("nonzero feature length");
-        f(graph, &model)
+        f(&graph, &model)
     }
 
     /// The memoized platform baselines of one workload.
@@ -1210,7 +1211,8 @@ pub struct FigureRun {
 ///
 /// Every space runs against `store` (the shared `figures.jsonl`), so
 /// points shared between artifacts — or with previous runs — are never
-/// re-simulated. Each space's evaluation backend is resolved from its
+/// re-simulated, and takes its graphs from `ctx`'s memo, so no graph is
+/// built twice in one run. Each space's evaluation backend is resolved from its
 /// own backend id (the cross-backend artifacts mix `cycle` with `cpu`
 /// and `gpu` spaces); `backend_override`, when given, re-targets the
 /// *default-backend* spaces only — `hygcn figures --backend analytical`
@@ -1220,7 +1222,9 @@ pub struct FigureRun {
 /// # Errors
 ///
 /// The campaign executor's errors ([`DseError`]); `Spec` for an
-/// unresolvable backend id.
+/// unresolvable backend id; `PointsFailed`, naming every failed point,
+/// when any point failed — checked before rendering, which needs them
+/// all. Failed points are not stored, so a re-run retries them.
 pub fn run_figure(
     spec: &FigureSpec,
     ctx: &mut FigureCtx,
@@ -1245,7 +1249,9 @@ pub fn run_figure(
                 hygcn_baseline::backend::BACKEND_IDS.join("/")
             ))
         })?;
-        let mut campaign = Campaign::new(space).with_backend(backend);
+        let mut campaign = Campaign::new(space)
+            .with_backend(backend)
+            .with_graphs(ctx.graphs().clone());
         if let Some(path) = store {
             campaign = campaign.with_store(path);
         }
@@ -1253,6 +1259,14 @@ pub fn run_figure(
         simulated += report.simulated;
         cache_hits += report.cache_hits;
         reports.push(report);
+    }
+    let failed: Vec<String> = reports
+        .iter()
+        .flat_map(|r| r.points.iter().filter_map(PointOutcome::error))
+        .map(str::to_owned)
+        .collect();
+    if !failed.is_empty() {
+        return Err(DseError::PointsFailed(failed));
     }
     let output = (spec.render)(&reports, ctx);
     Ok(FigureRun {
@@ -1474,5 +1488,40 @@ mod tests {
             }
         }
         assert!(run_figure(find_figure("fig15").unwrap(), &mut ctx, None, Some("warp")).is_err());
+    }
+
+    /// IB with a 1 KB Input Buffer, which cannot hold one feature row,
+    /// next to a healthy default-config point.
+    fn one_failing_space(mult: f64) -> Result<Vec<ConfigSpace>, DseError> {
+        Ok(vec![ConfigSpace::new(
+            vec![ds(DatasetKey::Ib, mult)],
+            vec![ModelKind::Gcn],
+        )
+        .with_axis(Axis::parse("inputbuf-kb", "1,128")?)])
+    }
+
+    fn unreachable_render(_: &[CampaignReport], _: &mut FigureCtx) -> String {
+        unreachable!("an artifact with failed points must not render")
+    }
+
+    #[test]
+    fn failed_points_are_an_error_naming_them_not_a_render_panic() {
+        let spec = FigureSpec {
+            id: "broken",
+            title: "broken",
+            spaces: one_failing_space,
+            render: unreachable_render,
+        };
+        let mut ctx = FigureCtx::new(0.05);
+        match run_figure(&spec, &mut ctx, None, None) {
+            Err(DseError::PointsFailed(errors)) => {
+                assert_eq!(errors.len(), 1, "{errors:?}");
+                assert!(
+                    errors[0].contains("IB@0.05/GCN/inputbuf-kb=1:"),
+                    "{errors:?}"
+                );
+            }
+            other => panic!("expected PointsFailed, got {other:?}"),
+        }
     }
 }

@@ -8,7 +8,11 @@
 //!    pair is instantiated once per group, shared by reference across
 //!    every config point that touches it. Building Reddit-scale graphs
 //!    dwarfs a single simulation, so this is where the campaign's speed
-//!    comes from.
+//!    comes from. Campaigns handed one [`GraphMemo`]
+//!    ([`Campaign::with_graphs`]) go further and build each graph once
+//!    between them — `hygcn figures` gives all its campaigns one memo.
+//!    Without a memo a group's graph is a plain local, dropped when the
+//!    group finishes.
 //! 2. **Fan out where threads exist.** Within a group, missing points run
 //!    through [`hygcn_par::par_map_slice`] in batches of one point per
 //!    worker; results splice back in deterministic point order (the same
@@ -37,6 +41,7 @@ use hygcn_core::SimReport;
 use hygcn_gcn::model::GcnModel;
 use hygcn_graph::Graph;
 
+use crate::memo::GraphMemo;
 use crate::space::{ConfigSpace, DesignPoint};
 use crate::store::{ResultStore, StoreRecord};
 use crate::store_io::{default_sleeper, RetryPolicy, Sleeper, StoreIo};
@@ -168,6 +173,7 @@ pub struct Campaign {
     sleeper: Option<Sleeper>,
     backend: Option<Arc<dyn SimBackend>>,
     fast_substitution: bool,
+    graphs: Option<GraphMemo>,
 }
 
 impl std::fmt::Debug for Campaign {
@@ -179,6 +185,7 @@ impl std::fmt::Debug for Campaign {
             .field("retry", &self.retry)
             .field("backend", &self.backend)
             .field("fast_substitution", &self.fast_substitution)
+            .field("graphs", &self.graphs)
             .finish()
     }
 }
@@ -202,6 +209,7 @@ impl Campaign {
             sleeper: None,
             backend,
             fast_substitution: true,
+            graphs: None,
         }
     }
 
@@ -211,6 +219,17 @@ impl Campaign {
     /// flag lands here.
     pub fn without_fast_substitution(mut self) -> Self {
         self.fast_substitution = false;
+        self
+    }
+
+    /// Takes each workload group's graph from `memo` (building it there
+    /// on a miss) instead of building and dropping a private copy, so
+    /// campaigns handed the same memo build each `(workload, fidelity)`
+    /// graph once between them. Stored results are unchanged: the graph
+    /// is the same, and its plan cache is emptied when the group
+    /// finishes so no campaign inherits another's plans.
+    pub fn with_graphs(mut self, memo: GraphMemo) -> Self {
+        self.graphs = Some(memo);
         self
     }
 
@@ -356,10 +375,21 @@ impl Campaign {
             std::collections::BTreeMap::new();
         for ((_, fidelity_bits), idxs) in groups {
             let workload = &points[idxs[0]].workload;
-            let obs_build = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
-            let graph = workload.build_at(f64::from_bits(fidelity_bits))?;
-            let graph_hash = graph.content_hash();
-            drop(obs_build);
+            let fidelity = f64::from_bits(fidelity_bits);
+            // A memo's graph is shared; without one the group owns a
+            // plain local, dropped when the group finishes.
+            let (shared, owned);
+            let (graph, graph_hash): (&Graph, u64) = match &self.graphs {
+                Some(memo) => {
+                    shared = memo.get(workload, fidelity)?;
+                    (&shared, shared.content_hash())
+                }
+                None => {
+                    let _obs = hygcn_obs::span(hygcn_obs::Phase::WorkloadBuild);
+                    owned = workload.build_at(fidelity)?;
+                    (&owned, owned.content_hash())
+                }
+            };
             // One model instance per kind in this group, shared across
             // every point of the group.
             let mut models: Vec<(hygcn_gcn::model::ModelKind, GcnModel)> = Vec::new();
@@ -434,7 +464,7 @@ impl Campaign {
                             attempt += 1;
                             let run =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    b.evaluate(&graph, model, &p.config)
+                                    b.evaluate(graph, model, &p.config)
                                 }));
                             match run {
                                 Ok(Ok(report)) => return Ok(report),
@@ -466,7 +496,7 @@ impl Campaign {
                             let staged = eval(&**backend)?;
                             let fast =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    fast_backend.evaluate(&graph, model, &p.config)
+                                    fast_backend.evaluate(graph, model, &p.config)
                                 }));
                             let matched = matches!(&fast, Ok(Ok(f)) if *f == staged);
                             Ok((staged, Some((class.clone(), matched))))
@@ -505,6 +535,9 @@ impl Campaign {
                     hygcn_obs::count(hygcn_obs::Counter::PointsSimulated, 1);
                     simulated += 1;
                 }
+            }
+            if self.graphs.is_some() {
+                graph.clear_plans();
             }
         }
 
@@ -626,6 +659,56 @@ mod tests {
         assert_eq!(a.point.assignment[3].1, "on");
         assert_eq!(b.point.assignment[3].1, "off");
         assert_ne!(a.report_json, b.report_json);
+    }
+
+    #[test]
+    fn shared_graphs_store_exactly_what_private_builds_store() {
+        let dir = std::env::temp_dir().join("hygcn-dse-memo-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (private, shared) = (dir.join("private.jsonl"), dir.join("shared.jsonl"));
+        let space = || {
+            ConfigSpace::new(
+                vec![
+                    WorkloadSpec::dataset(DatasetKey::Ib, 0.1, 1),
+                    WorkloadSpec::dataset(DatasetKey::Cr, 0.1, 1),
+                ],
+                vec![ModelKind::Gcn, ModelKind::Gin],
+            )
+            .with_axis(Axis::parse("aggbuf-mb", "4,16").unwrap())
+            .with_axis(Axis::parse("controller", "inorder,frfcfs").unwrap())
+        };
+        for path in [&private, &shared] {
+            std::fs::remove_file(path).ok();
+        }
+        let plain = Campaign::new(space()).with_store(&private).run().unwrap();
+        let memo = GraphMemo::new();
+        let memoized = Campaign::new(space())
+            .with_graphs(memo.clone())
+            .with_store(&shared)
+            .run()
+            .unwrap();
+        assert_eq!((plain.simulated, memoized.simulated), (16, 16));
+        assert_eq!(memo.len(), 2, "one graph per workload");
+        let fields = |r: &CampaignReport| -> Vec<(u64, u64, u64, String)> {
+            r.completed()
+                .map(|p| (p.point.key, p.cycles, p.dram_bytes, p.report_json.clone()))
+                .collect()
+        };
+        assert_eq!(fields(&plain), fields(&memoized));
+        assert_eq!(
+            std::fs::read(&private).unwrap(),
+            std::fs::read(&shared).unwrap(),
+            "stored bytes are identical"
+        );
+        // A second campaign on the memo builds nothing new.
+        Campaign::new(space().with_axis(Axis::parse("sparsity", "off").unwrap()))
+            .with_graphs(memo.clone())
+            .run()
+            .unwrap();
+        assert_eq!(memo.len(), 2);
+        for path in [&private, &shared] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

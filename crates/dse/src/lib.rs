@@ -25,6 +25,9 @@
 //!   an on-disk [`store::ResultStore`] (`campaign.jsonl`). An interrupted
 //!   or re-run campaign skips completed points — re-running an unchanged
 //!   campaign performs **zero** simulations.
+//! * [`memo`] — a [`GraphMemo`] of built workload graphs that several
+//!   campaigns can share ([`Campaign::with_graphs`]), so a run of many
+//!   campaigns over the same workloads builds each graph once.
 //! * [`analysis`] — Pareto-front extraction over (cycles, energy,
 //!   DRAM bytes), per-axis marginal tables, and CSV/Markdown emitters.
 //! * [`search`] — strategies over a space: grid, seeded random
@@ -59,12 +62,14 @@
 
 pub mod analysis;
 pub mod campaign;
+pub mod memo;
 pub mod search;
 pub mod space;
 pub mod store;
 pub mod store_io;
 
 pub use campaign::{Campaign, CampaignReport, CompletedPoint, PointOutcome};
+pub use memo::GraphMemo;
 pub use search::{
     run_search, run_search_io, run_search_with_backend, BudgetMetric, SearchOutcome, SearchStrategy,
 };
@@ -101,6 +106,10 @@ pub enum DseError {
         /// [`store_io::is_transient`]).
         transient: bool,
     },
+    /// The run finished but design points failed; one error per failed
+    /// point, each naming it. Failed points are never stored, so a
+    /// re-run retries exactly these.
+    PointsFailed(Vec<String>),
 }
 
 impl DseError {
@@ -124,6 +133,9 @@ impl std::fmt::Display for DseError {
             DseError::StoreIo {
                 op, path, error, ..
             } => write!(f, "result store: {op} {path}: {error}"),
+            DseError::PointsFailed(errors) => {
+                write!(f, "{} point(s) failed: {}", errors.len(), errors.join("; "))
+            }
         }
     }
 }

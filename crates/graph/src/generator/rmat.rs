@@ -5,6 +5,8 @@
 //! community blocks — the structure of social graphs like Reddit. The
 //! default parameters `(0.57, 0.19, 0.19, 0.05)` are the Graph500 values.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,13 +90,14 @@ pub fn rmat(
     }
     let levels = usize::BITS - (num_vertices - 1).leading_zeros();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = EdgeSet::new(num_vertices, num_edges);
     let mut coo = Coo::new(num_vertices);
     // Cap the retry budget: R-MAT cores saturate, and beyond the cap we
     // fill in uniform edges to guarantee the exact requested size.
     let mut attempts = 0usize;
     let max_attempts = num_edges.saturating_mul(64) + 1024;
-    while seen.len() < num_edges {
+    let mut added = 0usize;
+    while added < num_edges {
         attempts += 1;
         let (src, dst) = if attempts <= max_attempts {
             draw_edge(&mut rng, levels, &params)
@@ -107,12 +110,82 @@ pub fn rmat(
         if src == dst || src as usize >= num_vertices || dst as usize >= num_vertices {
             continue;
         }
-        let key = (src.min(dst), src.max(dst));
-        if seen.insert(key) {
+        if seen.insert(src.min(dst), src.max(dst)) {
             coo.push_undirected(src, dst)?;
+            added += 1;
         }
     }
     Ok(Graph::from_coo(&coo, 1))
+}
+
+/// The undirected edges drawn so far. Edges enter the COO in draw
+/// order, so the set only answers membership and its layout never
+/// reaches the graph.
+enum EdgeSet {
+    /// One bit per `(min, max)` pair of an `n x n` matrix — chosen when
+    /// those `n²` bits take no more memory than hashing the requested
+    /// edges would (dense requests, such as scaled-down Reddit).
+    Bits { words: Vec<u64>, n: usize },
+    /// Each edge packed as `min << 32 | max`.
+    Hashed(PackedEdges),
+}
+
+// lint: allow(hash-collections) -- membership only, never iterated
+type PackedEdges = std::collections::HashSet<u64, BuildHasherDefault<EdgeKeyHasher>>;
+
+impl EdgeSet {
+    fn new(num_vertices: usize, num_edges: usize) -> Self {
+        let bits = num_vertices.saturating_mul(num_vertices);
+        if bits <= num_edges.saturating_mul(64) {
+            EdgeSet::Bits {
+                words: vec![0; bits.div_ceil(64)],
+                n: num_vertices,
+            }
+        } else {
+            EdgeSet::Hashed(PackedEdges::with_capacity_and_hasher(
+                num_edges,
+                Default::default(),
+            ))
+        }
+    }
+
+    /// Adds the edge `(lo, hi)`, `lo < hi < n`; whether it was new.
+    fn insert(&mut self, lo: VertexId, hi: VertexId) -> bool {
+        match self {
+            EdgeSet::Bits { words, n } => {
+                let i = lo as usize * *n + hi as usize;
+                let (word, bit) = (&mut words[i / 64], 1u64 << (i % 64));
+                let new = *word & bit == 0;
+                *word |= bit;
+                new
+            }
+            EdgeSet::Hashed(set) => set.insert(u64::from(lo) << 32 | u64::from(hi)),
+        }
+    }
+}
+
+/// A fixed (unseeded) hasher for packed edge keys: one widening
+/// multiply whose halves are folded together, so both the low bits (the
+/// bucket index) and the high bits (the probe tag) depend on every key
+/// bit.
+#[derive(Default)]
+struct EdgeKeyHasher(u64);
+
+impl Hasher for EdgeKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let wide = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 fn draw_edge(rng: &mut StdRng, levels: u32, p: &RmatParams) -> (VertexId, VertexId) {
@@ -209,10 +282,11 @@ mod tests {
 
     /// Pins the exact graphs the generator emits: the dedup set decides
     /// which draws become edges, so any change to it (or to the RNG
-    /// draw sequence) must leave these hashes alone. Covers sparse
-    /// requests, a complete graph that only the uniform fallback can
-    /// finish, and Reddit at the figures' default scale (1/64 of its
-    /// vertices and edges).
+    /// draw sequence) must leave these hashes alone. Covers both set
+    /// representations (the second request is sparse enough to hash),
+    /// a complete graph that only the uniform fallback can finish, and
+    /// Reddit at the figures' default scale (1/64 of its vertices and
+    /// edges).
     #[test]
     fn outputs_are_pinned_by_content_hash() {
         let pinned: [(usize, usize, u64, u64); 4] = [
@@ -221,6 +295,8 @@ mod tests {
             (16, 120, 6, 0xdf4d_1720_9c84_dbd4),
             (3640, 895_436, 0x5EED, 0x1351_7c3f_58a9_adc8),
         ];
+        assert!(matches!(EdgeSet::new(1000, 8000), EdgeSet::Hashed(_)));
+        assert!(matches!(EdgeSet::new(3640, 895_436), EdgeSet::Bits { .. }));
         for (n, m, seed, want) in pinned {
             let g = rmat(n, m, RmatParams::default(), seed).unwrap();
             assert_eq!(g.num_edges(), 2 * m);

@@ -302,6 +302,25 @@ impl Graph {
         cache.push((key.to_owned(), plan));
     }
 
+    /// Empties both plan-cache slots (occupancy indexes and keyed
+    /// plans), for every clone sharing them. A graph that outlives one
+    /// campaign calls this so the next campaign does not carry the
+    /// previous one's plans. Plans already handed out stay alive with
+    /// their holders; the next lookup rebuilds.
+    pub fn clear_plans(&self) {
+        let inner = &self.plan_cache.0;
+        inner
+            .occupancy
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clear();
+        inner
+            .keyed
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clear();
+    }
+
     /// A process-independent FNV-1a hash of the graph's *content*: vertex
     /// count, feature length, and the full CSC adjacency (per-destination
     /// sorted source lists). Two graphs hash equal iff their topology and
@@ -456,6 +475,23 @@ mod tests {
         }
         assert!(g.cached_plan("a").is_none(), "oldest entry evicted");
         assert!(g.cached_plan("fill-0").is_some());
+    }
+
+    #[test]
+    fn clear_plans_empties_both_slots_for_every_clone() {
+        let g = toy();
+        let intervals = [partition::Interval::new(0, 4)];
+        let held = g.occupancy_index(&intervals).expect("fits");
+        g.store_plan("a", std::sync::Arc::new(1u64));
+        let clone = g.with_feature_len(64);
+        clone.clear_plans();
+        assert!(g.cached_plan("a").is_none());
+        let rebuilt = g.occupancy_index(&intervals).expect("fits");
+        assert!(
+            !std::sync::Arc::ptr_eq(&held, &rebuilt),
+            "rebuilt, not kept"
+        );
+        assert_eq!(held.num_intervals(), 1, "handed-out plans stay alive");
     }
 
     #[test]
