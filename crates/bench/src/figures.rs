@@ -1212,12 +1212,12 @@ pub struct FigureRun {
 /// Every space runs against `store` (the shared `figures.jsonl`), so
 /// points shared between artifacts — or with previous runs — are never
 /// re-simulated, and takes its graphs from `ctx`'s memo, so no graph is
-/// built twice in one run. Each space's evaluation backend is resolved from its
-/// own backend id (the cross-backend artifacts mix `cycle` with `cpu`
-/// and `gpu` spaces); `backend_override`, when given, re-targets the
-/// *default-backend* spaces only — `hygcn figures --backend analytical`
-/// screens the accelerator points analytically while the platform
-/// baselines stay themselves.
+/// built twice in one run. Each space's evaluation backend is resolved
+/// from its own backend id (the cross-backend artifacts mix `cycle`
+/// with `cpu` and `gpu` spaces); `backend_override`, when given,
+/// re-targets the *default-backend* spaces only — `hygcn figures
+/// --backend analytical` screens the accelerator points analytically
+/// while the platform baselines stay themselves.
 ///
 /// # Errors
 ///
