@@ -5,7 +5,7 @@
 //! community blocks — the structure of social graphs like Reddit. The
 //! default parameters `(0.57, 0.19, 0.19, 0.05)` are the Graph500 values.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,15 +123,12 @@ pub fn rmat(
 /// reaches the graph.
 enum EdgeSet {
     /// One bit per `(min, max)` pair of an `n x n` matrix — chosen when
-    /// those `n²` bits take no more memory than hashing the requested
-    /// edges would (dense requests, such as scaled-down Reddit).
+    /// those `n²` bits take no more memory than 64 bits per requested
+    /// edge (dense requests, such as scaled-down Reddit).
     Bits { words: Vec<u64>, n: usize },
-    /// Each edge packed as `min << 32 | max`.
-    Hashed(PackedEdges),
+    /// Each edge as its `(min, max)` pair, for sparse requests.
+    Sorted(BTreeSet<(VertexId, VertexId)>),
 }
-
-// lint: allow(hash-collections) -- membership only, never iterated
-type PackedEdges = std::collections::HashSet<u64, BuildHasherDefault<EdgeKeyHasher>>;
 
 impl EdgeSet {
     fn new(num_vertices: usize, num_edges: usize) -> Self {
@@ -142,10 +139,7 @@ impl EdgeSet {
                 n: num_vertices,
             }
         } else {
-            EdgeSet::Hashed(PackedEdges::with_capacity_and_hasher(
-                num_edges,
-                Default::default(),
-            ))
+            EdgeSet::Sorted(BTreeSet::new())
         }
     }
 
@@ -159,32 +153,8 @@ impl EdgeSet {
                 *word |= bit;
                 new
             }
-            EdgeSet::Hashed(set) => set.insert(u64::from(lo) << 32 | u64::from(hi)),
+            EdgeSet::Sorted(set) => set.insert((lo, hi)),
         }
-    }
-}
-
-/// A fixed (unseeded) hasher for packed edge keys: one widening
-/// multiply whose halves are folded together, so both the low bits (the
-/// bucket index) and the high bits (the probe tag) depend on every key
-/// bit.
-#[derive(Default)]
-struct EdgeKeyHasher(u64);
-
-impl Hasher for EdgeKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let wide = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -283,10 +253,10 @@ mod tests {
     /// Pins the exact graphs the generator emits: the dedup set decides
     /// which draws become edges, so any change to it (or to the RNG
     /// draw sequence) must leave these hashes alone. Covers both set
-    /// representations (the second request is sparse enough to hash),
-    /// a complete graph that only the uniform fallback can finish, and
-    /// Reddit at the figures' default scale (1/64 of its vertices and
-    /// edges).
+    /// representations (the second request is sparse enough for the
+    /// ordered set), a complete graph that only the uniform fallback
+    /// can finish, and Reddit at the figures' default scale (1/64 of
+    /// its vertices and edges).
     #[test]
     fn outputs_are_pinned_by_content_hash() {
         let pinned: [(usize, usize, u64, u64); 4] = [
@@ -295,7 +265,7 @@ mod tests {
             (16, 120, 6, 0xdf4d_1720_9c84_dbd4),
             (3640, 895_436, 0x5EED, 0x1351_7c3f_58a9_adc8),
         ];
-        assert!(matches!(EdgeSet::new(1000, 8000), EdgeSet::Hashed(_)));
+        assert!(matches!(EdgeSet::new(1000, 8000), EdgeSet::Sorted(_)));
         assert!(matches!(EdgeSet::new(3640, 895_436), EdgeSet::Bits { .. }));
         for (n, m, seed, want) in pinned {
             let g = rmat(n, m, RmatParams::default(), seed).unwrap();
