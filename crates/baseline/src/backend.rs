@@ -251,9 +251,9 @@ impl SimBackend for GpuBackend {
 }
 
 /// Every backend id the workspace knows, in CLI display order.
-pub const BACKEND_IDS: &[&str] = &["cycle", "cycle-fast", "analytical", "cpu", "gpu", "seed"];
+pub const BACKEND_IDS: &[&str] = &["cycle", "analytical", "cpu", "gpu", "seed"];
 
-/// Resolves any backend id in the workspace vocabulary — the four
+/// Resolves any backend id in the workspace vocabulary — the three
 /// `hygcn-core` backends plus the two platform models here.
 pub fn resolve(id: &str) -> Option<Arc<dyn SimBackend>> {
     match id {

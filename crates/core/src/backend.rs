@@ -24,15 +24,14 @@
 //!   that backend's cached campaigns.
 //! * Fields a backend does not model are **zeroed, never invented**, and
 //!   [`SimReport::provenance`] carries the backend id for every backend
-//!   other than the three golden cycle paths (whose serialized form
+//!   other than the two golden cycle paths (whose serialized form
 //!   predates the marker and is pinned by golden snapshots).
 //!
 //! ## Which backend to use
 //!
 //! | id           | models                                   | cost per point | use for |
 //! |--------------|------------------------------------------|----------------|---------|
-//! | `cycle`      | execution-driven, per-request HBM walk   | ms             | results |
-//! | `cycle-fast` | same physics on a precompiled event schedule ([`crate::cycle_fast`]) | ms (≥5x faster warm) | repeated evaluations of one graph |
+//! | `cycle`      | execution-driven: precompiled event schedule + replayed HBM span program ([`crate::sim`]) | ms (less when warm) | results |
 //! | `seed`       | the seed implementation (oracle)         | ms (slower)    | differential testing |
 //! | `analytical` | O(chunks) roofline ([`crate::analytical`]) | µs           | campaign screening |
 //! | `cpu`, `gpu` | PyG platform models (`hygcn-baseline`)   | µs             | speedup/energy baselines |
@@ -115,13 +114,12 @@ impl SimBackend for SeedReferenceBackend {
 }
 
 /// Resolves a backend id to one of the backends *this crate* provides
-/// (`cycle`, `cycle-fast`, `seed`, `analytical`). The platform backends
+/// (`cycle`, `seed`, `analytical`). The platform backends
 /// (`cpu`, `gpu`) live in `hygcn-baseline`;
 /// `hygcn_baseline::backend::resolve` covers the full vocabulary.
 pub fn core_backend(id: &str) -> Option<std::sync::Arc<dyn SimBackend>> {
     match id {
         "cycle" => Some(std::sync::Arc::new(CycleAccurateBackend)),
-        "cycle-fast" => Some(std::sync::Arc::new(crate::cycle_fast::CycleFastBackend)),
         "seed" => Some(std::sync::Arc::new(SeedReferenceBackend)),
         "analytical" => Some(std::sync::Arc::new(crate::analytical::AnalyticalBackend)),
         _ => None,
@@ -163,7 +161,7 @@ mod tests {
 
     #[test]
     fn core_resolver_knows_its_backends() {
-        for id in ["cycle", "cycle-fast", "seed", "analytical"] {
+        for id in ["cycle", "seed", "analytical"] {
             let b = core_backend(id).unwrap_or_else(|| panic!("{id} must resolve"));
             assert_eq!(b.backend_id(), id);
         }
@@ -178,7 +176,7 @@ mod tests {
         for backend in [
             &CycleAccurateBackend as &dyn SimBackend,
             &SeedReferenceBackend,
-            &crate::cycle_fast::CycleFastBackend,
+            &crate::analytical::AnalyticalBackend,
         ] {
             assert!(matches!(
                 backend.evaluate(&g, &wrong, &HyGcnConfig::default()),

@@ -45,15 +45,6 @@ pub struct ChunkAggregation {
     pub agg_buffer_bytes: u64,
 }
 
-impl ChunkAggregation {
-    /// Shifts the record's span by `offset` arena entries — used when a
-    /// worker-local arena is spliced into the shared one.
-    pub fn rebased(mut self, offset: u32) -> Self {
-        self.span = self.span.rebased(offset);
-        self
-    }
-}
-
 /// The Aggregation Engine model.
 #[derive(Debug, Clone)]
 pub struct AggregationEngine {

@@ -18,6 +18,9 @@ pub enum SimError {
         /// Bytes available.
         available: usize,
     },
+    /// The HBM geometry or timing is invalid (the message names the
+    /// first violated constraint of `HbmConfig::validate`).
+    InvalidHbm(String),
     /// Model/graph mismatch or functional failure.
     Gcn(GcnError),
     /// Graph-side failure.
@@ -40,6 +43,7 @@ impl fmt::Display for SimError {
                 f,
                 "{buffer} buffer too small: one vector needs {needed} bytes, only {available} available"
             ),
+            SimError::InvalidHbm(m) => write!(f, "invalid HBM configuration: {m}"),
             SimError::Gcn(e) => write!(f, "model error: {e}"),
             SimError::Graph(e) => write!(f, "graph error: {e}"),
             SimError::Backend(m) => write!(f, "backend error: {m}"),

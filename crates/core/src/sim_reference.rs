@@ -5,8 +5,8 @@
 //! a freshly allocated request buffer per chunk, and an allocating
 //! scheduler call per timeline step. It exists for two reasons:
 //!
-//! 1. **Oracle** — [`Simulator::simulate`]'s parallel, arena-based,
-//!    occupancy-driven hot path must produce a bit-identical
+//! 1. **Oracle** — [`Simulator::simulate`]'s arena-based,
+//!    occupancy-driven, span-replay hot path must produce a bit-identical
 //!    [`SimReport`]; the determinism tests and `hygcn bench` assert
 //!    equality against this path.
 //! 2. **Baseline** — `hygcn bench` reports the optimized pipeline's

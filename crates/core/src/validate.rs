@@ -20,12 +20,14 @@ use crate::error::SimError;
 ///
 /// 1. the graph's feature length matches the model's input length;
 /// 2. half the (ping-pong) Input Buffer holds one feature vector;
-/// 3. half the (ping-pong) Aggregation Buffer holds one feature vector.
+/// 3. half the (ping-pong) Aggregation Buffer holds one feature vector;
+/// 4. the HBM geometry and timing pass `HbmConfig::validate`.
 ///
 /// # Errors
 ///
 /// * [`SimError::Gcn`] with `GcnError::FeatureShape` on mismatch (1);
-/// * [`SimError::BufferTooSmall`] naming the offending buffer (2, 3).
+/// * [`SimError::BufferTooSmall`] naming the offending buffer (2, 3);
+/// * [`SimError::InvalidHbm`] naming the violated constraint (4).
 pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Result<(), SimError> {
     let f_in = model.feature_len();
     if graph.feature_len() != f_in {
@@ -49,7 +51,7 @@ pub fn validate_inputs(graph: &Graph, model: &GcnModel, cfg: &HyGcnConfig) -> Re
             available: cfg.aggregation_buffer_bytes / 2,
         });
     }
-    Ok(())
+    cfg.hbm.validate().map_err(SimError::InvalidHbm)
 }
 
 #[cfg(test)]
@@ -114,6 +116,18 @@ mod tests {
                 buffer: "aggregation",
                 ..
             })
+        ));
+    }
+
+    #[test]
+    fn invalid_hbm_geometry_is_a_typed_error() {
+        let g = graph(64, 32);
+        let m = GcnModel::new(ModelKind::Gcn, 32, 1).unwrap();
+        let mut cfg = HyGcnConfig::default();
+        cfg.hbm.channels = 6; // not a power of two
+        assert!(matches!(
+            validate_inputs(&g, &m, &cfg),
+            Err(SimError::InvalidHbm(msg)) if msg.contains("channels")
         ));
     }
 }

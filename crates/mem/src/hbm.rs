@@ -19,10 +19,10 @@
 //! the same per-channel timelines as the historical serial walk over the
 //! interleaved segment stream. The batch completes at the max of the
 //! channels' completion cycles, and the statistics fold by summation —
-//! both order-independent — so a parallel walk is bit-identical to a
-//! serial one. The driver that exploits this lives upstream
-//! (`hygcn-core`'s `timeline::ChannelWalk`); this crate keeps the
-//! machines and the serial reference drain.
+//! both order-independent. The span-program replay
+//! ([`crate::spanprog`]) relies on exactly this to service a precompiled
+//! channel-major stream; [`Hbm`] stays as the reference it is tested
+//! against.
 //!
 //! A burst run that stays in an open row streams at one burst per cycle;
 //! touching a closed row exposes an activate+precharge penalty. Within a
@@ -360,42 +360,6 @@ impl Hbm {
         }
     }
 
-    /// Splits `reqs` channel-major into the internal partition and
-    /// accounts the request-level traffic. The staged queues are then
-    /// drained either serially ([`Hbm::service_batch`]) or by an
-    /// external per-channel driver via [`Hbm::staged`] +
-    /// [`Hbm::merge_batch`].
-    pub fn stage_batch(&mut self, reqs: &[MemRequest]) {
-        self.partition.clear();
-        for r in reqs {
-            debug_assert!(r.bytes > 0, "zero-length request");
-            self.partition.push_request(&self.map, r);
-            self.traffic.requests += 1;
-            if r.is_write {
-                self.traffic.bytes_written += u64::from(r.bytes);
-            } else {
-                self.traffic.bytes_read += u64::from(r.bytes);
-            }
-        }
-    }
-
-    /// The staged queues and the channel machines, for an external
-    /// driver that advances the channels itself (possibly in parallel —
-    /// each machine is `Send` and queue `c` belongs to machine `c`).
-    pub fn staged(&mut self) -> (&ChannelPartition, &mut [ChannelTimeline]) {
-        (&self.partition, &mut self.channels)
-    }
-
-    /// Merges a drained batch: the batch completes at the earliest cycle
-    /// every channel is done (i.e. the max of the per-channel completion
-    /// cycles), never before `now`.
-    pub fn merge_batch(&mut self, now: u64) -> u64 {
-        self.channels
-            .iter()
-            .map(ChannelTimeline::batch_done)
-            .fold(now, u64::max)
-    }
-
     /// Services one request starting no earlier than `now`; returns the
     /// cycle at which its last data beat (plus CAS latency) arrives.
     ///
@@ -405,19 +369,6 @@ impl Hbm {
     /// channels under the interleaved mapping.
     pub fn access(&mut self, req: &MemRequest, now: u64) -> u64 {
         self.service_batch(std::slice::from_ref(req), now)
-    }
-
-    /// Drains the staged queues serially in channel order and merges —
-    /// the one place the serial walk is spelled out, shared by
-    /// [`Hbm::service_batch`] and any external driver that decides not
-    /// to fan out.
-    pub fn drain_staged(&mut self, now: u64) -> u64 {
-        let policy = self.config.controller;
-        let (partition, channels) = (&self.partition, &mut self.channels);
-        for (c, ch) in channels.iter_mut().enumerate() {
-            ch.drain_policy(partition.channel(c), now, policy);
-        }
-        self.merge_batch(now)
     }
 
     /// Services a batch; returns the completion cycle of the last request.
@@ -430,8 +381,27 @@ impl Hbm {
     /// independently.
     pub fn service_batch(&mut self, reqs: &[MemRequest], now: u64) -> u64 {
         let _obs = hygcn_obs::span(hygcn_obs::Phase::HbmWalk);
-        self.stage_batch(reqs);
-        self.drain_staged(now)
+        self.partition.clear();
+        for r in reqs {
+            debug_assert!(r.bytes > 0, "zero-length request");
+            self.partition.push_request(&self.map, r);
+            self.traffic.requests += 1;
+            if r.is_write {
+                self.traffic.bytes_written += u64::from(r.bytes);
+            } else {
+                self.traffic.bytes_read += u64::from(r.bytes);
+            }
+        }
+        let policy = self.config.controller;
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            ch.drain_policy(self.partition.channel(c), now, policy);
+        }
+        // The batch completes once every channel is done, never before
+        // it arrived.
+        self.channels
+            .iter()
+            .map(ChannelTimeline::batch_done)
+            .fold(now, u64::max)
     }
 
     /// The cycle at which all channels become idle.
@@ -623,30 +593,5 @@ mod tests {
         // 72 KB in 32 B bursts, spread over the channels.
         let bursts: u64 = full.channels.iter().map(|c| c.bursts).sum();
         assert_eq!(bursts, 72 * 1024 / 32);
-    }
-
-    #[test]
-    fn external_drive_matches_service_batch() {
-        // Driving the staged queues by hand (as the core driver does)
-        // must equal the built-in serial drain exactly.
-        let reqs: Vec<MemRequest> = (0..24u64)
-            .map(|i| read(i * 7000, 3000 + (i as u32 % 5) * 997))
-            .collect();
-        let cfg = HbmConfig::hbm1();
-        let mut builtin = Hbm::new(cfg);
-        let t_builtin = builtin.service_batch(&reqs, 100);
-
-        let mut manual = Hbm::new(cfg);
-        manual.stage_batch(&reqs);
-        let policy = manual.config().controller;
-        let (partition, channels) = manual.staged();
-        // Drain in reverse channel order to prove order-independence.
-        for c in (0..channels.len()).rev() {
-            channels[c].drain_policy(partition.channel(c), 100, policy);
-        }
-        let t_manual = manual.merge_batch(100);
-        assert_eq!(t_builtin, t_manual);
-        assert_eq!(builtin.stats(), manual.stats());
-        assert_eq!(builtin.channel_stats(), manual.channel_stats());
     }
 }

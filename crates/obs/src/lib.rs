@@ -24,7 +24,7 @@
 //!   output files.
 //!
 //! The workspace-level `tests/observability.rs` proves the contract by
-//! replaying identical workloads with collection on and off — all six
+//! replaying identical workloads with collection on and off — all five
 //! backends, a golden-snapshot replay, campaign store bytes, and cache
 //! keys — and asserting bit-identical results.
 //!
@@ -35,13 +35,13 @@
 //!
 //! | phase              | recorded around                                      |
 //! |--------------------|------------------------------------------------------|
-//! | `window_plan`      | `WindowPlanner::plan_all` sparsity sweep             |
-//! | `schedule_build`   | `EventSchedule::build` (cycle-fast precompile)       |
+//! | `window_plan`      | no longer emitted (kept so old traces still parse)   |
+//! | `schedule_build`   | `EventSchedule::build` (cycle precompile)            |
 //! | `aggregation`      | Aggregation-engine chunk processing                  |
 //! | `combination`      | Combination-engine chunk processing                  |
-//! | `hbm_walk`         | Staged HBM drain (cycle / seed timeline)             |
-//! | `span_walk`        | Flat `SpanWalker` drain (cycle-fast timeline)        |
-//! | `span_program_build` | One `SpanProgram` decode pass (cycle-fast cold)    |
+//! | `hbm_walk`         | Staged HBM drain (seed timeline under FR-FCFS)       |
+//! | `span_walk`        | no longer emitted (kept so old traces still parse)   |
+//! | `span_program_build` | One `SpanProgram` decode pass (cycle cold path)    |
 //! | `span_replay`      | One precompiled span-program step replay             |
 //! | `backend_eval`     | One `SimBackend::evaluate` call                      |
 //! | `campaign_batch`   | One fan-out batch inside `Campaign::run_points`      |
@@ -81,21 +81,26 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
-    /// Sparsity-elimination window planning (`WindowPlanner::plan_all`).
+    /// Sparsity-elimination window planning. No longer emitted: window
+    /// planning runs inside `ScheduleBuild`. Kept so existing traces and
+    /// their consumers keep their phase names.
     WindowPlan,
-    /// Cycle-fast event-schedule precompilation (`EventSchedule::build`).
+    /// Event-schedule precompilation (`EventSchedule::build`).
     ScheduleBuild,
     /// Aggregation-engine chunk processing.
     Aggregation,
     /// Combination-engine chunk processing.
     Combination,
-    /// Staged HBM drain (cycle / seed timeline walk).
+    /// Staged HBM drain (`Hbm::service_batch`; the seed timeline walk
+    /// under FR-FCFS).
     HbmWalk,
-    /// Flat `SpanWalker` drain (cycle-fast timeline walk).
+    /// Flat span-walker drain. No longer emitted: the walker is gone and
+    /// `SpanReplay` covers the cycle timeline walk. Kept so existing
+    /// traces and their consumers keep their phase names.
     SpanWalk,
-    /// One span-program decode pass (cycle-fast cold path).
+    /// One span-program decode pass (cycle cold path).
     SpanProgramBuild,
-    /// One precompiled span-program step replay (cycle-fast warm path).
+    /// One precompiled span-program step replay (cycle timeline walk).
     SpanReplay,
     /// One `SimBackend::evaluate` call, any backend.
     BackendEval,
@@ -249,7 +254,7 @@ pub struct PhaseStat {
 /// Log2-bucketed latency histogram for one backend's `evaluate` calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalHist {
-    /// Backend id (`cycle`, `cycle-fast`, `seed`, `analytical`, `cpu`, `gpu`).
+    /// Backend id (`cycle`, `seed`, `analytical`, `cpu`, `gpu`).
     pub backend: String,
     /// Number of evaluations recorded.
     pub count: u64,
@@ -731,11 +736,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         {
-            let _s = span(Phase::SpanWalk);
+            let _s = span(Phase::SpanReplay);
         }
         count(Counter::CacheMisses, 2);
-        record_eval("cycle-fast", Duration::from_micros(100));
-        record_eval("cycle-fast", Duration::from_micros(300));
+        record_eval("seed", Duration::from_micros(100));
+        record_eval("seed", Duration::from_micros(300));
         disable();
 
         let snap = snapshot();

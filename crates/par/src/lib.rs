@@ -132,42 +132,6 @@ where
     par_map_index(items.len(), |i| f(i, &items[i]))
 }
 
-/// Calls `f(i, &mut items[i])` for every item, splitting the items into
-/// one contiguous run per worker.
-///
-/// The parallel analogue of `items.iter_mut().enumerate().for_each(..)`:
-/// each item is visited exactly once and owned mutably by exactly one
-/// worker, so determinism holds whenever `f` writes only through its
-/// item. This is the shape the per-channel HBM walk needs — a handful of
-/// independent state machines, each advanced by one worker.
-pub fn par_items_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = num_threads();
-    if workers <= 1 || items.len() < 2 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let ranges = split_ranges(items.len(), workers);
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        for &(start, end) in &ranges {
-            let (mine, tail) = rest.split_at_mut(end - start);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || {
-                for (k, item) in mine.iter_mut().enumerate() {
-                    f(start + k, item);
-                }
-            });
-        }
-    });
-}
-
 /// Splits `data` — interpreted as rows of `row_len` elements — into one
 /// contiguous slab per worker and calls `f(first_row, slab)` on each.
 ///
@@ -240,17 +204,6 @@ mod tests {
         assert!(par_map_index(0, |i| i).is_empty());
         let mut empty: Vec<u8> = Vec::new();
         par_slabs_mut(&mut empty, 4, |_, _| {});
-    }
-
-    #[test]
-    fn items_visited_once_with_correct_index() {
-        let mut data: Vec<u64> = vec![0; 133];
-        par_items_mut(&mut data, |i, v| *v += 10 + i as u64);
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, 10 + i as u64, "item {i}");
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        par_items_mut(&mut empty, |_, _| unreachable!());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Decomposes `simulate()` host time into its two stages — the
-//! (parallelizable) per-chunk engine records and the (serial) HBM timing
-//! walk — to show where the host cycles go at a given scale.
+//! per-chunk engine records and the HBM timing walk — to show where the
+//! host cycles go at a given scale.
 //!
 //! ```text
 //! cargo run --release --example profile_hotpath [vertices]

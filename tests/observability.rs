@@ -2,7 +2,7 @@
 //! may record spans and counters, but it must never change a single
 //! simulated bit. Every test here runs the same work twice — collection
 //! off, then on — and asserts bit-identical results: `SimReport`s from
-//! all six backends, campaign store bytes, and cache keys.
+//! all five backends, campaign store bytes, and cache keys.
 //!
 //! The collector's state is process-global, so every test serializes on
 //! one mutex; a poisoned lock (a failed sibling) is recovered, not
@@ -33,7 +33,7 @@ fn obs_guard() -> MutexGuard<'static, ()> {
     guard
 }
 
-const ALL_BACKENDS: [&str; 6] = ["cycle", "cycle-fast", "seed", "analytical", "cpu", "gpu"];
+const ALL_BACKENDS: [&str; 5] = ["cycle", "seed", "analytical", "cpu", "gpu"];
 
 fn workload() -> (hygcn_suite::graph::Graph, GcnModel) {
     let g = erdos_renyi(512, 4096, 42).unwrap().with_feature_len(64);
@@ -45,7 +45,7 @@ fn workload() -> (hygcn_suite::graph::Graph, GcnModel) {
 /// is recording — the tentpole "never perturbs" contract, backend by
 /// backend.
 #[test]
-fn all_six_backends_are_bit_identical_with_collection_on() {
+fn all_five_backends_are_bit_identical_with_collection_on() {
     let _guard = obs_guard();
     let (graph, model) = workload();
     let mut cfg = HyGcnConfig::default();
@@ -163,15 +163,15 @@ fn cache_keys_ignore_collector_state() {
     obs::reset();
     assert_eq!(traced, quiet);
     // The keys themselves are distinct per backend (cycle elides its id;
-    // the other five must not collide with it or each other).
+    // the other four must not collide with it or each other).
     let mut sorted = quiet.clone();
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), ALL_BACKENDS.len(), "cache keys collided");
 }
 
-/// One instrumented pass over the cycle, cycle-fast, and campaign paths
-/// covers the whole span taxonomy — at least six distinct phases, which
+/// One instrumented pass over the cycle and campaign paths covers the
+/// whole span taxonomy — at least six distinct phases, which
 /// is what makes a `--trace-out` file worth opening in Perfetto.
 #[test]
 fn trace_covers_at_least_six_distinct_phases() {
@@ -186,10 +186,6 @@ fn trace_covers_at_least_six_distinct_phases() {
     obs::reset();
     obs::enable();
     resolve("cycle")
-        .unwrap()
-        .evaluate(&graph, &model, &cfg)
-        .unwrap();
-    resolve("cycle-fast")
         .unwrap()
         .evaluate(&graph, &model, &cfg)
         .unwrap();
@@ -213,10 +209,8 @@ fn trace_covers_at_least_six_distinct_phases() {
         "expected >= 6 distinct phases, got {phases:?}"
     );
     for must in [
-        "window_plan",
         "aggregation",
         "combination",
-        "hbm_walk",
         "backend_eval",
         "schedule_build",
         "store_append",
@@ -235,8 +229,9 @@ fn trace_covers_at_least_six_distinct_phases() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// Property form of the inertness contract: over random workloads
-    /// and configs, the cycle and cycle-fast backends report the same
-    /// bits whether the collector is recording or not.
+    /// and configs, the cycle backend reports the same bits whether the
+    /// collector is recording or not — on a cold graph (plans rebuilt
+    /// under tracing) and on a warm one (cached plans replayed).
     #[test]
     fn tracing_never_perturbs_reports(
         n in 64usize..512,
@@ -246,7 +241,7 @@ proptest! {
         sparsity in any::<bool>(),
         pipeline_none in any::<bool>(),
         rmat_graph in any::<bool>(),
-        backend_fast in any::<bool>(),
+        warm in any::<bool>(),
     ) {
         let _guard = obs_guard();
         let f = 1usize << fpow;
@@ -263,9 +258,12 @@ proptest! {
             cfg.pipeline = PipelineMode::None;
         }
         cfg.aggregation_buffer_bytes = 1 << 18;
-        let backend = resolve(if backend_fast { "cycle-fast" } else { "cycle" }).unwrap();
+        let backend = resolve("cycle").unwrap();
 
         let quiet = backend.evaluate(&graph, &model, &cfg).unwrap();
+        if !warm {
+            graph.clear_plans();
+        }
         obs::reset();
         obs::enable();
         let traced = backend.evaluate(&graph, &model, &cfg).unwrap();
@@ -274,8 +272,8 @@ proptest! {
         prop_assert_eq!(
             traced,
             quiet,
-            "collection perturbed n={} d={} f={} seed={} sparsity={} nopipe={} rmat={} fast={}",
-            n, density, f, seed, sparsity, pipeline_none, rmat_graph, backend_fast
+            "collection perturbed n={} d={} f={} seed={} sparsity={} nopipe={} rmat={} warm={}",
+            n, density, f, seed, sparsity, pipeline_none, rmat_graph, warm
         );
     }
 }

@@ -1,12 +1,12 @@
-//! Differential oracle: the optimized, per-channel `simulate()` against
-//! the seed-faithful `simulate_reference()` — and the event-schedule
-//! `cycle-fast` backend against both — over randomized configuration ×
-//! workload sweeps.
+//! Differential oracle: the optimized span-replay `simulate()` against
+//! the seed-faithful `simulate_reference()` over randomized
+//! configuration × workload sweeps, and the span-program replay against
+//! the staged FR-FCFS `Hbm` reference at arbitrary DRAM geometry.
 //!
 //! Every generated case asserts the full [`hygcn_suite::core::SimReport`]
 //! — cycles, energy, per-channel memory decomposition, everything — is
-//! **bit-for-bit identical** between the paths, and that the
-//! per-channel walk stays identical at 1, 2, and 8 host threads. This is
+//! **bit-for-bit identical** between the paths, and that it stays
+//! identical under 1, 2, and 8 host-thread overrides. This is
 //! the harness that lets future perf PRs refactor the memory system
 //! without fear: any timing drift, however small, fails here with the
 //! exact configuration that exposed it.
@@ -117,19 +117,7 @@ proptest! {
         prop_assert_eq!(
             &serial,
             &reference,
-            "serial vs reference: {:?} {:?} {:?} n={} d={} f={} seed={} sparsity={} coord={} ch={}",
-            wl, kind, pipeline, n, density, feature_len, seed, sparsity, coordinated, 1 << chpow
-        );
-
-        // The event-schedule backend — natively, with no delegation:
-        // sampling models replay a freshly decoded stream and FR-FCFS
-        // windows of every depth run on the span-program replayer.
-        let fast =
-            hygcn_suite::core::cycle_fast::simulate_fast(sim.config(), &graph, &model).unwrap();
-        prop_assert_eq!(
-            &serial,
-            &fast,
-            "serial vs cycle-fast: {:?} {:?} {:?} n={} d={} f={} seed={} sparsity={} coord={} frfcfs={:?} ch={}",
+            "serial vs reference: {:?} {:?} {:?} n={} d={} f={} seed={} sparsity={} coord={} frfcfs={:?} ch={}",
             wl, kind, pipeline, n, density, feature_len, seed, sparsity, coordinated, frfcfs_window, 1 << chpow
         );
 
