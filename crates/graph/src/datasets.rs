@@ -19,9 +19,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
-use crate::generator::{community_powerlaw, rmat, RmatParams};
+use crate::generator::{community_powerlaw, rmat, EdgeSet, RmatParams};
 use crate::{Coo, Graph, GraphError, VertexId};
 
 /// Short keys of the six benchmark datasets, in paper order.
@@ -191,7 +190,10 @@ impl DatasetSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidParameter`] for a non-positive scale.
+    /// * [`GraphError::InvalidParameter`] for a scale outside `(0, 1]`.
+    /// * [`GraphError::TooManyEdges`] when the scale is so small that the
+    ///   dataset's edges no longer fit its vertices (Reddit and the
+    ///   assembled-blocks datasets keep their average degree).
     pub fn instantiate(&self, scale: f64, seed: u64) -> Result<Graph, GraphError> {
         if !(scale > 0.0 && scale <= 1.0) {
             return Err(GraphError::InvalidParameter(format!(
@@ -201,7 +203,7 @@ impl DatasetSpec {
         let vertices = ((self.vertices as f64 * scale) as usize).max(64);
         let und_edges = ((self.edges / 2) as f64 * scale) as usize;
         let und_edges = und_edges.max(vertices); // keep the graph connected-ish
-        let graph = match self.family {
+        let mut graph = match self.family {
             StructureFamily::PowerLaw => {
                 let m = (und_edges as f64 / vertices as f64).round().max(1.0) as usize;
                 // ~128-vertex research communities with 10% inter-area
@@ -215,9 +217,8 @@ impl DatasetSpec {
                 assembled_blocks(vertices, und_edges, blocks, seed)?
             }
         };
-        Ok(graph
-            .with_feature_len(self.feature_len)
-            .with_name(self.name))
+        graph.feature_len = self.feature_len;
+        Ok(graph.with_name(self.name))
     }
 }
 
@@ -225,6 +226,10 @@ impl DatasetSpec {
 /// sizes and fills each block with uniform random edges proportionally to
 /// its pair capacity, hitting `und_edges` total undirected edges exactly
 /// (excess over total capacity spills to uniform cross-block edges).
+///
+/// # Errors
+///
+/// [`GraphError::TooManyEdges`] if the spill exceeds `V(V-1)/2` edges.
 fn assembled_blocks(
     num_vertices: usize,
     und_edges: usize,
@@ -272,6 +277,16 @@ fn assembled_blocks(
     let caps: Vec<usize> = sizes.iter().map(|&s| s * (s - 1) / 2).collect();
     let cap_total: usize = caps.iter().sum();
     let in_blocks = und_edges.min(cap_total);
+    // The spill draws over all vertex pairs and dedups only against
+    // itself, so it can place at most `V(V-1)/2` edges.
+    let spill = und_edges - in_blocks;
+    let spill_capacity = num_vertices * (num_vertices - 1) / 2;
+    if spill > spill_capacity {
+        return Err(GraphError::TooManyEdges {
+            requested: und_edges,
+            capacity: in_blocks + spill_capacity,
+        });
+    }
     let mut budgets: Vec<usize> = caps
         .iter()
         .map(|&c| ((c as f64 / cap_total as f64) * in_blocks as f64) as usize)
@@ -289,18 +304,20 @@ fn assembled_blocks(
 
     let mut coo = Coo::new(num_vertices);
     let mut base: VertexId = 0;
-    for (b, &size) in sizes.iter().enumerate() {
-        let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
+    for (&size, &budget) in sizes.iter().zip(&budgets) {
+        // Block-local ids: the set spans the block, not the graph.
+        let mut seen = EdgeSet::new(size, budget);
         let size = size as VertexId;
-        while seen.len() < budgets[b] {
-            let x = base + rng.gen_range(0..size);
-            let y = base + rng.gen_range(0..size);
+        let mut added = 0;
+        while added < budget {
+            let x = rng.gen_range(0..size);
+            let y = rng.gen_range(0..size);
             if x == y {
                 continue;
             }
-            let key = (x.min(y), x.max(y));
-            if seen.insert(key) {
-                coo.push_undirected(x, y)?;
+            if seen.insert(x.min(y), x.max(y)) {
+                coo.push_undirected(base + x, base + y)?;
+                added += 1;
             }
         }
         base += size;
@@ -309,15 +326,14 @@ fn assembled_blocks(
     // Spill (only if the request exceeded total block capacity).
     let mut spilled = 0;
     let n = num_vertices as VertexId;
-    let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
-    while in_blocks + spilled < und_edges {
+    let mut seen = EdgeSet::new(num_vertices, spill);
+    while spilled < spill {
         let x = rng.gen_range(0..n);
         let y = rng.gen_range(0..n);
         if x == y {
             continue;
         }
-        let key = (x.min(y), x.max(y));
-        if seen.insert(key) {
+        if seen.insert(x.min(y), x.max(y)) {
             coo.push_undirected(x, y)?;
             spilled += 1;
         }
@@ -409,6 +425,151 @@ mod tests {
                 assert_eq!(s, 1.0);
             }
         }
+    }
+
+    /// FNV-1a over the CSR out-lists, which `content_hash` (CSC only)
+    /// does not read.
+    fn csr_hash(g: &Graph) -> u64 {
+        let mut h = crate::hashing::Fnv64::new();
+        for v in 0..g.num_vertices() as VertexId {
+            let targets = g.out_neighbors(v);
+            h.write_u64(targets.len() as u64);
+            for &t in targets {
+                h.write_u32(t);
+            }
+        }
+        h.finish()
+    }
+
+    /// Pins the exact graphs `instantiate` synthesizes at seed 0x5EED:
+    /// every dataset at the figures' scales for `--scale 0.25` and
+    /// `--scale 0.05` (the default bench scale times the multiplier),
+    /// plus COLLAB and Pubmed at full size. Reddit at 1/64 (the 0.25
+    /// figure scale) is pinned by `rmat`'s own test and not rebuilt here.
+    #[test]
+    fn outputs_are_pinned_by_content_hash() {
+        use DatasetKey::*;
+        let fig = |key: DatasetKey, mult: f64| DatasetSpec::get(key).default_bench_scale() * mult;
+        let pinned: [(DatasetKey, f64, u64, u64); 13] = [
+            (
+                Ib,
+                fig(Ib, 0.25),
+                0x2a08_8b22_f46d_d9ea,
+                0x51f8_cabb_5280_2005,
+            ),
+            (
+                Cr,
+                fig(Cr, 0.25),
+                0x4069_68a0_bd77_2a6c,
+                0xb9ea_307a_cd70_392d,
+            ),
+            (
+                Cs,
+                fig(Cs, 0.25),
+                0x0b65_928a_dbe9_4307,
+                0x9fb1_cd0a_344e_92c4,
+            ),
+            (
+                Cl,
+                fig(Cl, 0.25),
+                0xec6d_d6e3_6dc0_be10,
+                0x6b13_d6e5_8234_e697,
+            ),
+            (
+                Pb,
+                fig(Pb, 0.25),
+                0xdfd6_0341_b038_c35c,
+                0xe226_acc4_9f6d_52bf,
+            ),
+            (
+                Ib,
+                fig(Ib, 0.05),
+                0xcb08_b7d1_101c_59fa,
+                0x4142_5841_be6d_e8b6,
+            ),
+            (
+                Cr,
+                fig(Cr, 0.05),
+                0xfb99_6dc2_5361_741d,
+                0x8b41_bd47_7615_0794,
+            ),
+            (
+                Cs,
+                fig(Cs, 0.05),
+                0x3a0a_34d8_6df8_f917,
+                0x17b5_ee28_b39f_8a14,
+            ),
+            (
+                Cl,
+                fig(Cl, 0.05),
+                0x6e92_f143_807d_8046,
+                0x62e7_0385_81f9_25e7,
+            ),
+            (
+                Pb,
+                fig(Pb, 0.05),
+                0x996e_dc96_ce7d_8c93,
+                0x91b4_35dd_727c_2810,
+            ),
+            (
+                Rd,
+                fig(Rd, 0.05),
+                0xb47a_eb55_18ec_7ff3,
+                0x642b_92f6_f166_7d19,
+            ),
+            (Cl, 1.0, 0x241e_2bc2_3068_9900, 0x6714_21ff_f857_457d),
+            (Pb, 1.0, 0xa665_2d74_9f5d_a0fa, 0xa0e1_66cf_fd73_9fff),
+        ];
+        for (key, scale, csc, csr) in pinned {
+            let g = DatasetSpec::get(key).instantiate(scale, 0x5EED).unwrap();
+            assert_eq!(g.content_hash(), csc, "{key} at scale {scale}: CSC");
+            assert_eq!(csr_hash(&g), csr, "{key} at scale {scale}: CSR");
+        }
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// returned within 30 s, so a generator that spins cannot hang the
+    /// suite (a spinning thread is left detached and dies with the test
+    /// process; one that returned is joined).
+    fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("generator panicked or ran past 30 s");
+        worker.join().expect("generator thread panicked");
+        got
+    }
+
+    #[test]
+    fn overfull_assembled_request_is_rejected_not_spun() {
+        // COLLAB at 0.8% keeps its average degree on 96 vertices: 5,784
+        // undirected edges where 4,560 pairs exist.
+        let got = within_timeout(|| DatasetSpec::get(DatasetKey::Cl).instantiate(0.008, 1));
+        assert!(
+            matches!(
+                got,
+                Err(GraphError::TooManyEdges {
+                    requested: 5784,
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
+        // 8 vertices pack into blocks of 5 and 3 (13 pairs); the spill
+        // holds another 8·7/2 = 28. The exact capacity still completes.
+        let full = assembled_blocks(8, 41, 2, 7).unwrap();
+        assert_eq!(full.num_edges(), 82);
+        let over = within_timeout(|| assembled_blocks(8, 42, 2, 7));
+        assert_eq!(
+            over,
+            Err(GraphError::TooManyEdges {
+                requested: 42,
+                capacity: 41
+            })
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
+use super::EdgeSet;
 use crate::{Coo, Graph, GraphError, VertexId};
 
 /// Generates an undirected Erdős–Rényi graph with exactly `num_edges`
@@ -25,18 +25,19 @@ pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Result<G
         });
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: BTreeSet<(VertexId, VertexId)> = BTreeSet::new();
+    let mut seen = EdgeSet::new(num_vertices, num_edges);
     let mut coo = Coo::new(num_vertices);
     let n = num_vertices as VertexId;
-    while seen.len() < num_edges {
+    let mut added = 0;
+    while added < num_edges {
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
         if a == b {
             continue;
         }
-        let key = (a.min(b), a.max(b));
-        if seen.insert(key) {
+        if seen.insert(a.min(b), a.max(b)) {
             coo.push_undirected(a, b)?;
+            added += 1;
         }
     }
     Ok(Graph::from_coo(&coo, 1))
@@ -88,6 +89,24 @@ mod tests {
         let a = erdos_renyi(40, 80, 11).unwrap();
         let b = erdos_renyi(40, 80, 11).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Pins the exact graphs the generator emits, across both
+    /// [`EdgeSet`] representations (the last request is sparse enough
+    /// for the ordered set) and a complete graph.
+    #[test]
+    fn outputs_are_pinned_by_content_hash() {
+        let pinned: [(usize, usize, u64, u64); 4] = [
+            (512, 4096, 42, 0xe958_be08_1a0a_fc4a),
+            (100, 400, 1, 0x89f9_eb5a_93ac_fcfa),
+            (64, 2016, 3, 0x95de_fed8_59ec_7b84),
+            (1000, 8000, 5, 0x43e4_d480_2dd6_c4f0),
+        ];
+        assert!(matches!(EdgeSet::new(1000, 8000), EdgeSet::Sorted(_)));
+        for (n, m, seed, want) in pinned {
+            let g = erdos_renyi(n, m, seed).unwrap();
+            assert_eq!(g.content_hash(), want, "erdos_renyi({n}, {m}, seed {seed})");
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!   datasets with more than one graph are tested by assembling randomly
 //!   selected 128 graphs into a large graph".
 
+use std::collections::BTreeSet;
+
+use crate::VertexId;
+
 mod assembled;
 mod community;
 mod erdos;
@@ -31,6 +35,48 @@ pub use community::community_powerlaw;
 pub use erdos::erdos_renyi;
 pub use powerlaw::preferential_attachment;
 pub use rmat::{rmat, RmatParams};
+
+/// The undirected edges a generator has drawn so far, for rejecting
+/// duplicate draws. Edges enter the COO in draw order, so the set only
+/// answers membership and its layout never reaches the graph.
+pub(crate) enum EdgeSet {
+    /// One bit per `(min, max)` pair of an `n x n` matrix — chosen when
+    /// those `n²` bits take no more memory than 64 bits per requested
+    /// edge (dense requests, such as scaled-down Reddit or a COLLAB
+    /// block).
+    Bits { words: Vec<u64>, n: usize },
+    /// Each edge as its `(min, max)` pair, for sparse requests.
+    Sorted(BTreeSet<(VertexId, VertexId)>),
+}
+
+impl EdgeSet {
+    /// An empty set for up to `num_edges` edges over ids `< num_vertices`.
+    pub(crate) fn new(num_vertices: usize, num_edges: usize) -> Self {
+        let bits = num_vertices.saturating_mul(num_vertices);
+        if bits <= num_edges.saturating_mul(64) {
+            EdgeSet::Bits {
+                words: vec![0; bits.div_ceil(64)],
+                n: num_vertices,
+            }
+        } else {
+            EdgeSet::Sorted(BTreeSet::new())
+        }
+    }
+
+    /// Adds the edge `(lo, hi)`, `lo < hi < n`; whether it was new.
+    pub(crate) fn insert(&mut self, lo: VertexId, hi: VertexId) -> bool {
+        match self {
+            EdgeSet::Bits { words, n } => {
+                let i = lo as usize * *n + hi as usize;
+                let (word, bit) = (&mut words[i / 64], 1u64 << (i % 64));
+                let new = *word & bit == 0;
+                *word |= bit;
+                new
+            }
+            EdgeSet::Sorted(set) => set.insert((lo, hi)),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

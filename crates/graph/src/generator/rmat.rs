@@ -5,11 +5,10 @@
 //! community blocks — the structure of social graphs like Reddit. The
 //! default parameters `(0.57, 0.19, 0.19, 0.05)` are the Graph500 values.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::EdgeSet;
 use crate::{Coo, Graph, GraphError, VertexId};
 
 /// Quadrant probabilities of the recursive subdivision.
@@ -89,6 +88,7 @@ pub fn rmat(
         });
     }
     let levels = usize::BITS - (num_vertices - 1).leading_zeros();
+    let thresholds = Thresholds::new(&params);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seen = EdgeSet::new(num_vertices, num_edges);
     let mut coo = Coo::new(num_vertices);
@@ -100,7 +100,7 @@ pub fn rmat(
     while added < num_edges {
         attempts += 1;
         let (src, dst) = if attempts <= max_attempts {
-            draw_edge(&mut rng, levels, &params)
+            draw_edge(&mut rng, levels, &thresholds)
         } else {
             (
                 rng.gen_range(0..num_vertices as VertexId),
@@ -118,63 +118,43 @@ pub fn rmat(
     Ok(Graph::from_coo(&coo, 1))
 }
 
-/// The undirected edges drawn so far. Edges enter the COO in draw
-/// order, so the set only answers membership and its layout never
-/// reaches the graph.
-enum EdgeSet {
-    /// One bit per `(min, max)` pair of an `n x n` matrix — chosen when
-    /// those `n²` bits take no more memory than 64 bits per requested
-    /// edge (dense requests, such as scaled-down Reddit).
-    Bits { words: Vec<u64>, n: usize },
-    /// Each edge as its `(min, max)` pair, for sparse requests.
-    Sorted(BTreeSet<(VertexId, VertexId)>),
+/// The cumulative quadrant thresholds of one [`rmat`] call, summed in
+/// the order `a`, `+ b`, `+ c` so that every draw compares against the
+/// same floats.
+struct Thresholds {
+    a: f64,
+    ab: f64,
+    abc: f64,
 }
 
-impl EdgeSet {
-    fn new(num_vertices: usize, num_edges: usize) -> Self {
-        let bits = num_vertices.saturating_mul(num_vertices);
-        if bits <= num_edges.saturating_mul(64) {
-            EdgeSet::Bits {
-                words: vec![0; bits.div_ceil(64)],
-                n: num_vertices,
-            }
-        } else {
-            EdgeSet::Sorted(BTreeSet::new())
+impl Thresholds {
+    fn new(p: &RmatParams) -> Self {
+        Self {
+            a: p.a,
+            ab: p.a + p.b,
+            abc: p.a + p.b + p.c,
         }
     }
 
-    /// Adds the edge `(lo, hi)`, `lo < hi < n`; whether it was new.
-    fn insert(&mut self, lo: VertexId, hi: VertexId) -> bool {
-        match self {
-            EdgeSet::Bits { words, n } => {
-                let i = lo as usize * *n + hi as usize;
-                let (word, bit) = (&mut words[i / 64], 1u64 << (i % 64));
-                let new = *word & bit == 0;
-                *word |= bit;
-                new
-            }
-            EdgeSet::Sorted(set) => set.insert((lo, hi)),
-        }
+    /// The `(src, dst)` bits of the quadrant a uniform draw `r` picks:
+    /// `[0, a)` top-left, `[a, a+b)` top-right, `[a+b, a+b+c)`
+    /// bottom-left, the rest bottom-right. Computed without branches
+    /// (the thresholds are non-decreasing because the probabilities are
+    /// non-negative), since which quadrant wins is unpredictable.
+    fn quadrant(&self, r: f64) -> (VertexId, VertexId) {
+        let src = r >= self.ab;
+        let dst = ((r >= self.a) & (r < self.ab)) | (r >= self.abc);
+        (VertexId::from(src), VertexId::from(dst))
     }
 }
 
-fn draw_edge(rng: &mut StdRng, levels: u32, p: &RmatParams) -> (VertexId, VertexId) {
+fn draw_edge(rng: &mut StdRng, levels: u32, t: &Thresholds) -> (VertexId, VertexId) {
     let mut src: VertexId = 0;
     let mut dst: VertexId = 0;
     for _ in 0..levels {
-        src <<= 1;
-        dst <<= 1;
-        let r: f64 = rng.gen();
-        if r < p.a {
-            // top-left: no bits set
-        } else if r < p.a + p.b {
-            dst |= 1;
-        } else if r < p.a + p.b + p.c {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let (s, d) = t.quadrant(rng.gen());
+        src = (src << 1) | s;
+        dst = (dst << 1) | d;
     }
     (src, dst)
 }
@@ -183,6 +163,7 @@ fn draw_edge(rng: &mut StdRng, levels: u32, p: &RmatParams) -> (VertexId, Vertex
 mod tests {
     use super::*;
     use crate::stats::DegreeStats;
+    use proptest::prelude::*;
 
     #[test]
     fn exact_edge_count_and_vertices() {
@@ -271,6 +252,100 @@ mod tests {
             let g = rmat(n, m, RmatParams::default(), seed).unwrap();
             assert_eq!(g.num_edges(), 2 * m);
             assert_eq!(g.content_hash(), want, "rmat({n}, {m}, seed {seed:#x})");
+        }
+    }
+
+    /// The quadrant choice `draw_edge` made before it went branch-free,
+    /// kept as the reference the branch-free one must reproduce.
+    fn quadrant_by_chain(r: f64, p: &RmatParams) -> (VertexId, VertexId) {
+        if r < p.a {
+            (0, 0)
+        } else if r < p.a + p.b {
+            (0, 1)
+        } else if r < p.a + p.b + p.c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// Valid parameters other than the defaults; in four draws of five
+    /// one of the probabilities (`d` among them) is forced to 0.
+    fn arb_params() -> impl Strategy<Value = RmatParams> {
+        (
+            0.001f64..1.0,
+            0.001f64..1.0,
+            0.001f64..1.0,
+            0.001f64..1.0,
+            0usize..5,
+        )
+            .prop_map(|(a, b, c, d, zeroed)| {
+                let mut w = [a, b, c, d];
+                if let Some(x) = w.get_mut(zeroed) {
+                    *x = 0.0;
+                }
+                let sum: f64 = w.iter().sum();
+                let [a, b, c, d] = w.map(|x| x / sum);
+                RmatParams { a, b, c, d }
+            })
+    }
+
+    /// `r` itself and the floats either side of it.
+    fn around(r: f64) -> [f64; 3] {
+        [r.next_down(), r, r.next_up()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The branch-free quadrant equals the `if/else` chain for random
+        /// draws and exactly at (and one float either side of) each
+        /// threshold `a`, `a+b`, `a+b+c`.
+        #[test]
+        fn branch_free_quadrant_matches_the_chain(p in arb_params(), r in 0.0f64..1.0) {
+            prop_assert!(p.validate().is_ok());
+            let t = Thresholds::new(&p);
+            let edges = [p.a, p.a + p.b, p.a + p.b + p.c];
+            for r in std::iter::once(r).chain(edges.into_iter().flat_map(around)) {
+                prop_assert_eq!(t.quadrant(r), quadrant_by_chain(r, &p), "r = {r}, {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_quadrant_matches_the_chain_on_fixed_params() {
+        let fixed = [
+            RmatParams::default(),
+            RmatParams {
+                a: 0.5,
+                b: 0.25,
+                c: 0.25,
+                d: 0.0,
+            },
+            RmatParams {
+                a: 0.25,
+                b: 0.25,
+                c: 0.25,
+                d: 0.25,
+            },
+            RmatParams {
+                a: 1.0,
+                b: 0.0,
+                c: 0.0,
+                d: 0.0,
+            },
+            RmatParams {
+                a: 0.0,
+                b: 0.0,
+                c: 0.0,
+                d: 1.0,
+            },
+        ];
+        for p in fixed {
+            let t = Thresholds::new(&p);
+            let edges = [0.0, p.a, p.a + p.b, p.a + p.b + p.c, 1.0];
+            for r in edges.into_iter().flat_map(around) {
+                assert_eq!(t.quadrant(r), quadrant_by_chain(r, &p), "r = {r}, {p:?}");
+            }
         }
     }
 
