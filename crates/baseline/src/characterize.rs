@@ -57,9 +57,14 @@ pub fn characterize(
     max_trace_edges: u64,
 ) -> Characterization {
     let w = LayerWorkload::of(graph, model, 0);
+    let tr = naive_trace(graph, w.agg_width, max_trace_edges);
+    from_trace(&w, &tr, params)
+}
 
+/// Table 2 for the layer workload `w`, whose aggregation trace replay
+/// is `tr`.
+fn from_trace(w: &LayerWorkload, tr: &TraceResult, params: &CpuParams) -> Characterization {
     // --- Aggregation: trace-driven. ---
-    let tr: TraceResult = naive_trace(graph, w.agg_width, max_trace_edges);
     let aggregation = PhaseCharacterization {
         dram_bytes_per_op: tr.dram_bytes_per_op(),
         dram_energy_per_op_j: tr.dram_bytes_per_op() * DRAM_SYSTEM_J_PER_BYTE,
@@ -93,6 +98,7 @@ mod tests {
     use super::*;
     use hygcn_gcn::model::ModelKind;
     use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
+    use std::sync::OnceLock;
 
     fn collab_quarter() -> Graph {
         DatasetSpec::get(DatasetKey::Cl)
@@ -100,11 +106,38 @@ mod tests {
             .unwrap()
     }
 
+    /// GCN on COLLAB at 0.25 with a 1M-edge cap: the trace and its
+    /// characterization, replayed once and shared by every test below
+    /// (the whole-graph replay dominates this module's debug run time).
+    struct Fixture {
+        trace: TraceResult,
+        c: Characterization,
+    }
+
+    fn collab_quarter_gcn() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let g = collab_quarter();
+            let m = GcnModel::new(ModelKind::Gcn, g.feature_len(), 1).unwrap();
+            let w = LayerWorkload::of(&g, &m, 0);
+            let trace = naive_trace(&g, w.agg_width, 1_000_000);
+            let c = from_trace(&w, &trace, &CpuParams::default());
+            Fixture { trace, c }
+        })
+    }
+
+    #[test]
+    fn fixture_trace_counters_are_pinned() {
+        let t = &collab_quarter_gcn().trace;
+        assert_eq!(
+            (t.simulated_edges, t.l2_misses, t.l3_misses, t.dram_bytes),
+            (361_502, 7_864_996, 5_856_267, 374_801_088)
+        );
+    }
+
     #[test]
     fn aggregation_far_more_traffic_per_op_than_combination() {
-        let g = collab_quarter();
-        let m = GcnModel::new(ModelKind::Gcn, g.feature_len(), 1).unwrap();
-        let c = characterize(&g, &m, &CpuParams::default(), 1_000_000);
+        let c = &collab_quarter_gcn().c;
         // Table 2: 11.6 vs 0.06 — two orders of magnitude.
         assert!(
             c.aggregation.dram_bytes_per_op > 20.0 * c.combination.dram_bytes_per_op,
@@ -116,9 +149,7 @@ mod tests {
 
     #[test]
     fn aggregation_mpki_much_higher() {
-        let g = collab_quarter();
-        let m = GcnModel::new(ModelKind::Gcn, g.feature_len(), 1).unwrap();
-        let c = characterize(&g, &m, &CpuParams::default(), 1_000_000);
+        let c = &collab_quarter_gcn().c;
         assert!(c.aggregation.l2_mpki > 2.0 * c.combination.l2_mpki);
         assert!(c.aggregation.l3_mpki > 2.0 * c.combination.l3_mpki);
     }
@@ -133,9 +164,7 @@ mod tests {
 
     #[test]
     fn energy_per_op_in_table2_regime() {
-        let g = collab_quarter();
-        let m = GcnModel::new(ModelKind::Gcn, g.feature_len(), 1).unwrap();
-        let c = characterize(&g, &m, &CpuParams::default(), 1_000_000);
+        let c = &collab_quarter_gcn().c;
         // Paper: 170 nJ vs 0.5 nJ. Check orders of magnitude.
         assert!(c.aggregation.dram_energy_per_op_j > 10e-9);
         assert!(c.combination.dram_energy_per_op_j < 10e-9);

@@ -14,6 +14,7 @@
 //! useless ones are counted (they waste bandwidth on a real machine).
 
 use crate::cache::Hierarchy;
+use hygcn_mem::cast::widen_u64;
 use std::collections::BTreeSet;
 
 /// Number of independent stride streams tracked (one per access PC in
@@ -37,7 +38,9 @@ pub struct PrefetchingHierarchy {
 #[derive(Debug, Clone, Copy, Default)]
 struct Stream {
     last: u64,
-    stride: i64,
+    /// Signed line-address delta; `i128` holds any difference of two
+    /// `u64` addresses exactly.
+    stride: i128,
     confirmed: bool,
 }
 
@@ -87,7 +90,7 @@ impl PrefetchingHierarchy {
 
     fn train_and_issue(&mut self, s: usize, line_addr: u64) {
         let st = &mut self.streams[s];
-        let stride = line_addr as i64 - st.last as i64;
+        let stride = i128::from(line_addr) - i128::from(st.last);
         if st.last != 0 && stride != 0 && stride == st.stride {
             st.confirmed = true;
         } else if st.last != 0 {
@@ -98,9 +101,8 @@ impl PrefetchingHierarchy {
         if st.confirmed {
             let stride = st.stride;
             for k in 1..=self.depth {
-                let target = line_addr as i64 + stride * k as i64;
-                if target >= 0 {
-                    let t = target as u64;
+                let target = i128::from(line_addr) + stride * i128::from(k);
+                if let Ok(t) = u64::try_from(target) {
                     if self.prefetched.insert(t) {
                         // Fetch into the hierarchy now (timing-less model:
                         // we only care about miss coverage).
@@ -153,7 +155,7 @@ pub fn phase_prefetch_coverage(
     agg_width: usize,
     max_edges: u64,
 ) -> (f64, f64) {
-    let row_bytes = (agg_width * 4) as u64;
+    let row_bytes = widen_u64(agg_width * 4);
 
     // Aggregation: edge-indexed gathers — the row-leading address of each
     // gather depends on the neighbor id, unpredictable to a stride
@@ -161,21 +163,20 @@ pub fn phase_prefetch_coverage(
     // sequential in both phases, so the leading access is the
     // discriminating latency; we measure exactly that stream.)
     let mut agg = PrefetchingHierarchy::new(Hierarchy::xeon(), 4);
+    let edge_base = widen_u64(graph.num_vertices()) * row_bytes;
     let mut edges = 0u64;
-    'outer: for dst in 0..graph.num_vertices() as u32 {
-        for &src in graph.in_neighbors(dst) {
-            agg.access(0, graph.num_vertices() as u64 * row_bytes + edges * 4);
-            agg.access(1, u64::from(src) * row_bytes);
-            edges += 1;
-            if edges >= max_edges {
-                break 'outer;
-            }
+    for &src in graph.csc().raw_sources() {
+        agg.access(0, edge_base + edges * 4);
+        agg.access(1, u64::from(src) * row_bytes);
+        edges += 1;
+        if edges >= max_edges {
+            break;
         }
     }
 
     // Combination: a sequential sweep of the same feature matrix.
     let mut comb = PrefetchingHierarchy::new(Hierarchy::xeon(), 4);
-    let total = graph.num_vertices() as u64 * row_bytes;
+    let total = widen_u64(graph.num_vertices()) * row_bytes;
     let mut addr = 0u64;
     while addr < total {
         comb.access(0, addr);

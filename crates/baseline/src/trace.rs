@@ -16,13 +16,12 @@
 //!   which is the algorithm optimization the paper ports back onto PyG
 //!   ("PyG-CPU-OP", Fig. 10a).
 //!
-//! Traces over very large graphs are statistically sampled: simulation
-//! stops after `max_edges` per pass and the counters are linearly
-//! extrapolated (see EXPERIMENTS.md; the workloads are homogeneous enough
-//! that a multi-million-edge prefix is representative).
+//! Both replays take a `max_edges` cap that samples large graphs (see
+//! [`naive_trace`]).
 
 use hygcn_graph::partition::PartitionSpec;
 use hygcn_graph::Graph;
+use hygcn_mem::cast::{saturating_usize, trunc_u64, widen_u64};
 
 use crate::cache::Hierarchy;
 
@@ -63,7 +62,7 @@ impl TraceResult {
 
     /// Extrapolated DRAM bytes for the full workload.
     pub fn dram_bytes_scaled(&self) -> u64 {
-        (self.dram_bytes as f64 * self.scale()) as u64
+        trunc_u64(self.dram_bytes as f64 * self.scale())
     }
 
     /// L2 misses per kilo-instruction.
@@ -96,11 +95,21 @@ struct Layout {
 
 impl Layout {
     fn new(graph: &Graph, agg_width: usize) -> Self {
-        let row_bytes = (agg_width * 4) as u64;
+        Self::of(
+            widen_u64(graph.num_vertices()),
+            widen_u64(graph.num_edges()),
+            agg_width,
+        )
+    }
+
+    /// The layout of a `vertices`-vertex, `edges`-edge graph: features,
+    /// edge indices, the per-edge materialized temporary, accumulators.
+    fn of(vertices: u64, edges: u64, agg_width: usize) -> Self {
+        let row_bytes = widen_u64(agg_width * 4);
         let feat_base = 0u64;
-        let edge_base = feat_base + graph.num_vertices() as u64 * row_bytes;
-        let mat_base = edge_base + graph.num_edges() as u64 * 4;
-        let acc_base = mat_base + graph.num_edges() as u64 * row_bytes;
+        let edge_base = feat_base + vertices * row_bytes;
+        let mat_base = edge_base + edges * 4;
+        let acc_base = mat_base + edges * row_bytes;
         Self {
             feat_base,
             edge_base,
@@ -114,39 +123,44 @@ impl Layout {
 /// Replays the naive (coarse-grained gather + scatter) aggregation trace.
 ///
 /// `agg_width` is the feature length during aggregation (128 for
-/// Combine-first models, the input length for GINConv). `max_edges` caps
-/// the simulated prefix of each pass.
+/// Combine-first models, the input length for GINConv).
+///
+/// `max_edges` samples large graphs: each pass stops after its first
+/// `max_edges` edges (in CSC order; at least one), and
+/// [`TraceResult::scale`] extrapolates the counters linearly to the
+/// whole graph. The workloads are homogeneous enough that a
+/// multi-million-edge prefix is representative. Pass `u64::MAX` to
+/// replay every edge.
 pub fn naive_trace(graph: &Graph, agg_width: usize, max_edges: u64) -> TraceResult {
     let mut h = Hierarchy::xeon();
     let lay = Layout::new(graph, agg_width);
 
     let mut res = TraceResult {
-        total_edges: graph.num_edges() as u64,
+        total_edges: widen_u64(graph.num_edges()),
         ..Default::default()
     };
 
-    // Pass 1 — gather: out[e] = features[src(e)].
+    // Pass 1 — gather: out[e] = features[src(e)], edges in CSC order.
+    let csc = graph.csc();
     let mut e = 0u64;
-    'gather: for dst in 0..graph.num_vertices() as u32 {
-        for &src in graph.in_neighbors(dst) {
-            h.access(lay.edge_base + e * 4);
-            h.access_range(
-                lay.feat_base + u64::from(src) * lay.row_bytes,
-                lay.row_bytes,
-            );
-            h.access_range(lay.mat_base + e * lay.row_bytes, lay.row_bytes);
-            e += 1;
-            if e >= max_edges {
-                break 'gather;
-            }
+    for &src in csc.raw_sources() {
+        h.access(lay.edge_base + e * 4);
+        h.access_range(
+            lay.feat_base + u64::from(src) * lay.row_bytes,
+            lay.row_bytes,
+        );
+        h.access_range(lay.mat_base + e * lay.row_bytes, lay.row_bytes);
+        e += 1;
+        if e >= max_edges {
+            break;
         }
     }
 
     // Pass 2 — scatter-reduce: acc[dst(e)] += out[e].
     let mut e2 = 0u64;
-    'scatter: for dst in 0..graph.num_vertices() as u32 {
-        let acc = lay.acc_base + u64::from(dst) * lay.row_bytes;
-        for _ in graph.in_neighbors(dst) {
+    'scatter: for (dst, edges) in csc.offsets().windows(2).enumerate() {
+        let acc = lay.acc_base + widen_u64(dst) * lay.row_bytes;
+        for _ in edges[0]..edges[1] {
             h.access_range(lay.mat_base + e2 * lay.row_bytes, lay.row_bytes);
             h.access_range(acc, lay.row_bytes);
             charge(&mut res, agg_width);
@@ -164,6 +178,7 @@ pub fn naive_trace(graph: &Graph, agg_width: usize, max_edges: u64) -> TraceResu
 /// variant): destination and source intervals sized so one interval of
 /// accumulators plus one interval of source rows fit in
 /// `cache_budget_bytes` (the L2), with no materialized temporary.
+/// `max_edges` samples as in [`naive_trace`], over the shard order.
 pub fn sharded_trace(
     graph: &Graph,
     agg_width: usize,
@@ -172,13 +187,13 @@ pub fn sharded_trace(
 ) -> TraceResult {
     let mut h = Hierarchy::xeon();
     let lay = Layout::new(graph, agg_width);
-    let rows_per_half =
-        ((cache_budget_bytes / 2).max(lay.row_bytes as usize)) / lay.row_bytes as usize;
+    let row_bytes = saturating_usize(lay.row_bytes);
+    let rows_per_half = ((cache_budget_bytes / 2).max(row_bytes)) / row_bytes;
     let spec = PartitionSpec::new(rows_per_half.max(1), rows_per_half.max(1));
     let plan = spec.partition(graph);
 
     let mut res = TraceResult {
-        total_edges: graph.num_edges() as u64,
+        total_edges: widen_u64(graph.num_edges()),
         ..Default::default()
     };
     'outer: for i in 0..plan.num_dst_intervals() {
@@ -209,8 +224,8 @@ pub fn sharded_trace(
 }
 
 fn charge(res: &mut TraceResult, agg_width: usize) {
-    res.elem_ops += agg_width as u64;
-    res.instructions += INSTR_PER_EDGE + INSTR_PER_ELEM * agg_width as u64;
+    res.elem_ops += widen_u64(agg_width);
+    res.instructions += INSTR_PER_EDGE + INSTR_PER_ELEM * widen_u64(agg_width);
 }
 
 fn finish(mut res: TraceResult, h: Hierarchy) -> TraceResult {
@@ -223,6 +238,7 @@ fn finish(mut res: TraceResult, h: Hierarchy) -> TraceResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hygcn_graph::datasets::{DatasetKey, DatasetSpec};
     use hygcn_graph::generator::{preferential_attachment, rmat, RmatParams};
 
     #[test]
@@ -286,6 +302,21 @@ mod tests {
         let r = naive_trace(&g, 128, 2_000_000);
         let bpo = r.dram_bytes_per_op();
         assert!(bpo > 4.0 && bpo < 25.0, "bytes/op {bpo}");
+    }
+
+    #[test]
+    fn widest_table4_layout_fits_the_tag_range() {
+        // Reddit at full scale under GIN, which aggregates at the input
+        // width (602): the widest trace layout of any Table 4 workload.
+        let rd = DatasetSpec::get(DatasetKey::Rd);
+        let lay = Layout::of(widen_u64(rd.vertices), widen_u64(rd.edges), rd.feature_len);
+        let end = lay.acc_base + widen_u64(rd.vertices) * lay.row_bytes;
+        assert!(end > 1 << 37 && end < 1 << 39, "layout spans {end} B");
+        // Room to spare: even a 16x larger layout stays addressable.
+        assert!(
+            end * 16 < Hierarchy::xeon().addr_limit(),
+            "layout end {end:#x}"
+        );
     }
 
     #[test]
